@@ -132,7 +132,10 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64) -> String {
     let r = sim.run();
     let wall = t0.elapsed().as_secs_f64();
     let eps = r.events as f64 / wall;
-    eprintln!("scale={label}: serial heap {wall:.2}s ({eps:.2e} ev/s)");
+    eprintln!(
+        "scale={label}: serial heap {wall:.2}s ({eps:.2e} ev/s, peak {} pending events)",
+        r.peak_pending_events
+    );
 
     format!(
         r#",
@@ -141,12 +144,13 @@ fn run_scale_tier(scale: Scale, quick: bool, seed: u64) -> String {
     "workload": "uniform TM, {nflows} flows over {window_ns} ns window",
     "events": {events},
     "pkt_hops": {hops},
-    "serial_heap": {{ "wall_s": {wall:.3}, "events_per_sec": {eps:.0} }}
+    "serial_heap": {{ "wall_s": {wall:.3}, "events_per_sec": {eps:.0}, "peak_pending_events": {peak} }}
   }}"#,
         racks = topo.num_racks(),
         servers = topo.num_servers(),
         events = r.events,
         hops = sim.pkt_hops(),
+        peak = r.peak_pending_events,
     )
 }
 
@@ -242,8 +246,10 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
     eprintln!(
         "hybrid_openloop: pure {pure_s:.2}s vs hybrid {hybrid_s:.2}s ({speedup:.2}x), \
          {} resolves; mice mean-FCT ratio {mice_mean_ratio:.3} (p50 {p50_ratio:.3}, p99 {p99_ratio:.3}), \
-         switch-link byte ratio {bytes_ratio:.3}",
-        rh.resolves
+         switch-link byte ratio {bytes_ratio:.3}; peak pending events pure {} hybrid {}",
+        rh.resolves,
+        rp.peak_pending_events,
+        rh.packet.peak_pending_events
     );
     if !quick {
         // The acceptance bar, plus the documented agreement bands
@@ -309,8 +315,8 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
     "resolve_coalesce_ns": 10000,
     "elephant_count": {ele},
     "fluid_resolves": {resolves},
-    "pure_packet": {{ "wall_s": {pure_s:.3}, "pkt_hops": {phops}, "unfinished": {pu} }},
-    "hybrid": {{ "wall_s": {hybrid_s:.3}, "pkt_hops": {hhops}, "unfinished": {hu} }},
+    "pure_packet": {{ "wall_s": {pure_s:.3}, "pkt_hops": {phops}, "unfinished": {pu}, "peak_pending_events": {ppeak} }},
+    "hybrid": {{ "wall_s": {hybrid_s:.3}, "pkt_hops": {hhops}, "unfinished": {hu}, "peak_pending_events": {hpeak} }},
     "speedup": {speedup:.3},
     "agreement": {{
       "mice_compared": {nmice},
@@ -327,6 +333,8 @@ fn run_hybrid_tier(quick: bool, seed: u64) -> String {
         pu = rp.unfinished(),
         hhops = hyb.pkt_hops(),
         hu = rh.unfinished(),
+        hpeak = rh.packet.peak_pending_events,
+        ppeak = rp.peak_pending_events,
         nmice = pure_mice.len(),
     )
 }
@@ -486,10 +494,12 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
     let speedup = ref_s / fast_s;
     eprintln!(
         "lossless: {} incast flows x {bytes} B — {} pauses over {} links, 0 tail drops; \
-         fast {fast_s:.3}s vs reference {ref_s:.3}s ({speedup:.2}x)",
+         fast {fast_s:.3}s vs reference {ref_s:.3}s ({speedup:.2}x), peak pending events fast {} ref {}",
         fast_r.flows.len(),
         fast_r.pause_frames,
-        fast_r.links_ever_paused
+        fast_r.links_ever_paused,
+        fast_r.peak_pending_events,
+        ref_r.peak_pending_events
     );
     format!(
         r#",
@@ -501,8 +511,8 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
     "links_ever_paused": {lep},
     "max_ingress_backlog": {backlog},
     "congestion_drops": 0,
-    "fast": {{ "wall_s": {fast_s:.4}, "events": {fe}, "events_per_sec": {feps:.0} }},
-    "reference": {{ "wall_s": {ref_s:.4}, "events": {re}, "events_per_sec": {reps:.0} }},
+    "fast": {{ "wall_s": {fast_s:.4}, "events": {fe}, "events_per_sec": {feps:.0}, "peak_pending_events": {fpeak} }},
+    "reference": {{ "wall_s": {ref_s:.4}, "events": {re}, "events_per_sec": {reps:.0}, "peak_pending_events": {rpeak} }},
     "speedup": {speedup:.3},
     "results_identical": true,
     "note": "terminal-TxDone elision is disabled under PFC (a terminal TxDone discharges ingress accounting), so fast-vs-reference here measures the FIB hot-cache and timer wheel only"
@@ -515,6 +525,8 @@ fn run_lossless_tier(quick: bool, seed: u64) -> String {
         feps = fast_r.events as f64 / fast_s,
         re = ref_r.events,
         reps = ref_r.events as f64 / ref_s,
+        fpeak = fast_r.peak_pending_events,
+        rpeak = ref_r.peak_pending_events,
     )
 }
 
@@ -587,11 +599,13 @@ fn main() {
         None => "off".to_owned(),
     };
     eprintln!(
-        "datapath: {dp_hops} pkt-hops — fast {:.0} hops/s vs reference {:.0} hops/s ({dp_speedup:.2}x), allocs/hop fast {} ref {}",
+        "datapath: {dp_hops} pkt-hops — fast {:.0} hops/s vs reference {:.0} hops/s ({dp_speedup:.2}x), allocs/hop fast {} ref {}, peak pending events fast {} ref {}",
         dp_hops as f64 / dp_fast_s,
         dp_hops as f64 / dp_ref_s,
         show_allocs(dp_fast_allocs),
-        show_allocs(dp_ref_allocs)
+        show_allocs(dp_ref_allocs),
+        dp_fast_r.peak_pending_events,
+        dp_ref_r.peak_pending_events
     );
 
     // --- Failure recovery: cut the busiest cable mid-run, reconverge
@@ -816,7 +830,7 @@ fn main() {
     // document is flat enough that format! suffices.
     let json = format!(
         r#"{{
-  "schema": "bench_snapshot/v10",
+  "schema": "bench_snapshot/v11",
   "seed": {seed},
   "scale": "{scale_label}",
   "quick": {quick},
@@ -825,8 +839,8 @@ fn main() {
     "workload": "fig4-style A2A on DRing su2, 8 MB offered",
     "pkt_hops": {dp_hops},
     "fib_cache_prewarmed": true,
-    "fast": {{ "wall_s": {dp_fast_s:.4}, "pkt_hops_per_sec": {dp_fast_hps:.0}, "events": {dp_fast_events}, "events_per_sec": {dp_fast_eps:.0}{dp_fast_aph} }},
-    "reference": {{ "wall_s": {dp_ref_s:.4}, "pkt_hops_per_sec": {dp_ref_hps:.0}, "events": {dp_ref_events}, "events_per_sec": {dp_ref_eps:.0}{dp_ref_aph} }},
+    "fast": {{ "wall_s": {dp_fast_s:.4}, "pkt_hops_per_sec": {dp_fast_hps:.0}, "events": {dp_fast_events}, "events_per_sec": {dp_fast_eps:.0}, "peak_pending_events": {dp_fast_peak}{dp_fast_aph} }},
+    "reference": {{ "wall_s": {dp_ref_s:.4}, "pkt_hops_per_sec": {dp_ref_hps:.0}, "events": {dp_ref_events}, "events_per_sec": {dp_ref_eps:.0}, "peak_pending_events": {dp_ref_peak}{dp_ref_aph} }},
     "speedup": {dp_speedup:.3},
     "results_identical": true
   }},
@@ -894,6 +908,8 @@ fn main() {
         dp_ref_events = dp_ref_r.events,
         dp_fast_eps = dp_fast_r.events as f64 / dp_fast_s,
         dp_ref_eps = dp_ref_r.events as f64 / dp_ref_s,
+        dp_fast_peak = dp_fast_r.peak_pending_events,
+        dp_ref_peak = dp_ref_r.peak_pending_events,
         rec_drops = rec_fast_r.dropped_packets,
         rec_unfinished = rec_fast_r.unfinished(),
         rec_fast_hps = rec_hops as f64 / rec_fast_s,

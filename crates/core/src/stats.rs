@@ -119,6 +119,7 @@ mod tests {
             delivered_bytes: 200,
             end_ns: 9,
             events: 42,
+            peak_pending_events: 5,
             used_fib_cache: true,
             congestion_drops: 0,
             pause_frames: 0,
@@ -142,6 +143,7 @@ mod tests {
             delivered_bytes: 0,
             end_ns: 0,
             events: 0,
+            peak_pending_events: 0,
             used_fib_cache: false,
             congestion_drops: 0,
             pause_frames: 0,

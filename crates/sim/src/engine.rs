@@ -705,6 +705,7 @@ impl<F: Forwarding> Simulation<F> {
             delivered_bytes: self.delivered_bytes,
             end_ns: self.now,
             events: self.events,
+            peak_pending_events: self.queue.peak_len() as u64,
             used_fib_cache: self.hot.is_some(),
             congestion_drops: self.queues.iter().map(|q| q.tail_drops).sum::<u64>(),
             pause_frames: self.pause_frames,

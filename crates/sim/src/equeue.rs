@@ -6,64 +6,58 @@
 //! total, the event order (and with it every simulation result) is fixed
 //! by the workload and the seed alone.
 //!
-//! The queue is a plain binary heap: a calendar queue and a sharded
-//! conservative-parallel engine both measured slower (DESIGN.md §8a, §12).
+//! The queue is a binary heap of 24-byte `(t, seq, slot)` keys over a
+//! payload slab whose freed slots are recycled, so a sift moves keys, not
+//! payloads. A calendar queue and a sharded conservative-parallel engine
+//! both measured slower than a binary heap (DESIGN.md §8a, §12).
 
 use crate::types::Ns;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One scheduled event: the ordering key plus its payload.
+/// The event queue: a binary min-heap of `(t, seq, slot)` keys, `O(log n)`
+/// per op, with each payload parked in `slab[slot]`.
 ///
-/// Ordering (and equality) consider only `(t, seq)`; `seq` is unique per
-/// queue so the order is total and payloads never need comparing.
-#[derive(Debug, Clone, Copy)]
-pub struct Entry<E> {
-    /// Event time, ns.
-    pub t: Ns,
-    /// Insertion sequence number (unique, increasing).
-    pub seq: u64,
-    /// The event payload.
-    pub ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.t, self.seq) == (other.t, other.seq)
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.t, self.seq).cmp(&(other.t, other.seq))
-    }
-}
-
-/// The event queue: a binary min-heap on `(t, seq)`, `O(log n)` per op.
+/// `seq` is unique per queue, so `slot` never decides the order. A popped
+/// key frees its slot and the next push reuses it, so the slab holds
+/// exactly as many slots as were ever pending at once.
 #[derive(Debug, Clone)]
 pub struct HeapQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    heap: BinaryHeap<Reverse<(Ns, u64, u32)>>,
+    /// Payloads by slot; `None` for a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slots, most recently freed last.
+    free: Vec<u32>,
 }
 
 impl<E> HeapQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> HeapQueue<E> {
-        HeapQueue { heap: BinaryHeap::new() }
+        HeapQueue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() }
     }
 
     /// Inserts an event. `seq` must be unique and increasing.
     pub fn push(&mut self, t: Ns, seq: u64, ev: E) {
-        self.heap.push(Reverse(Entry { t, seq, ev }));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 pending events");
+                self.slab.push(Some(ev));
+                slot
+            }
+        };
+        self.heap.push(Reverse((t, seq, slot)));
     }
 
     /// Removes and returns the earliest event by `(t, seq)`.
     pub fn pop(&mut self) -> Option<(Ns, u64, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.t, e.seq, e.ev))
+        let Reverse((t, seq, slot)) = self.heap.pop()?;
+        let ev = self.slab[slot as usize].take().expect("queued key owns its slot");
+        self.free.push(slot);
+        Some((t, seq, ev))
     }
 
     /// Number of pending events.
@@ -74,6 +68,12 @@ impl<E> HeapQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+
+    /// The most events ever pending at once: the slab length, since a
+    /// push only grows the slab when every slot is taken.
+    pub fn peak_len(&self) -> usize {
+        self.slab.len()
     }
 }
 
@@ -421,6 +421,27 @@ mod tests {
             }
         }
         assert_eq!(q.len(), oracle.len());
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        // Bursts of pushes between runs of pops: the slab only grows when
+        // every slot is taken, so it ends exactly at the peak pending count.
+        let mut q = HeapQueue::new();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let (mut seq, mut peak) = (0u64, 0usize);
+        for round in 0..200u64 {
+            for _ in 0..rng.gen_range(0..40u32) {
+                seq += 1;
+                q.push(round * 1_000 + rng.gen_range(0..5_000), seq, seq as E);
+                peak = peak.max(q.len());
+            }
+            for _ in 0..rng.gen_range(0..40u32) {
+                q.pop();
+            }
+            assert_eq!(q.peak_len(), peak, "round {round}");
+        }
+        assert!(peak < seq as usize, "the bursts must overlap freed slots");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * transport is TCP NewReno (slow start, AIMD congestion avoidance, fast
 //!   retransmit/recovery on three duplicate ACKs, RTO with exponential
 //!   backoff and RTT estimation per RFC 6298);
-//! * everything is deterministic given the seed: the event queue, a binary
-//!   heap ([`equeue::HeapQueue`]), orders events by the total key
+//! * everything is deterministic given the seed: the event queue
+//!   ([`equeue::HeapQueue`], a binary heap of `(time, insertion seq, slot)`
+//!   keys over a slab of event payloads) orders events by the total key
 //!   `(time, insertion seq)`, so time ties break by insertion order, and
 //!   ECMP hashes derive from the seed.
 //!

@@ -196,6 +196,10 @@ pub struct SimReport {
     pub end_ns: Ns,
     /// Total events processed.
     pub events: u64,
+    /// The most events ever pending in the event queue at once. Like
+    /// [`SimReport::events`] it depends on the datapath: the fast one keeps
+    /// RTO timers in a timer wheel and never queues elided TxDones.
+    pub peak_pending_events: u64,
     /// Whether the run finished with the fast datapath forwarding through
     /// a FIB hot-cache. `false` either because the reference datapath was
     /// selected, or because [`SimConfig::datapath`] asked for `Fast` but
@@ -274,6 +278,7 @@ mod tests {
             delivered_bytes: 0,
             end_ns: 10,
             events: 3,
+            peak_pending_events: 2,
             used_fib_cache: true,
             congestion_drops: 0,
             pause_frames: 0,

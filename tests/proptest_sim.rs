@@ -172,7 +172,9 @@ proptest! {
     /// The event heap dequeues in exactly sorted `(t, seq)` order:
     /// same-timestamp ties break by seq even when seqs are pushed out of
     /// order (the engine re-pushes its staged event with its old seq),
-    /// pops interleave with pushes, and times reach `Ns::MAX`.
+    /// pops interleave with pushes, and times reach `Ns::MAX`. Every
+    /// popped payload is the one pushed with its key, so a slab slot
+    /// handed to the wrong key fails here.
     #[test]
     fn heap_queue_dequeues_in_sorted_order(
         seed in any::<u64>(), n in 1usize..400, pop_every in 1usize..8
@@ -199,22 +201,23 @@ proptest! {
             seqs.swap(i, rng.gen_range(0..=i));
         }
         let mut q: HeapQueue<u32> = HeapQueue::new();
-        let mut pending: Vec<(u64, u64)> = Vec::new();
+        // (t, seq, payload); seqs are unique, so sorting by the whole
+        // triple sorts by (t, seq).
+        let mut pending: Vec<(u64, u64, u32)> = Vec::new();
         let mut out = Vec::with_capacity(n);
         let mut expected = Vec::with_capacity(n);
         for (i, (&t, &s)) in batch.iter().zip(&seqs).enumerate() {
             q.push(t, s, i as u32);
-            pending.push((t, s));
+            pending.push((t, s, i as u32));
             if i % pop_every == 0 {
-                let (t, s, _) = q.pop().expect("non-empty");
-                out.push((t, s));
+                out.push(q.pop().expect("non-empty"));
                 pending.sort_unstable();
                 expected.push(pending.remove(0));
             }
         }
         prop_assert_eq!(q.len(), pending.len());
-        while let Some((t, s, _)) = q.pop() {
-            out.push((t, s));
+        while let Some(e) = q.pop() {
+            out.push(e);
         }
         pending.sort_unstable();
         expected.extend(pending);
